@@ -8,7 +8,7 @@ the system inventory and ``EXPERIMENTS.md`` for paper-vs-measured results.
 Public entry points:
 
 * :mod:`repro.core` — the OsirisBFT architecture (deploy via
-  :func:`repro.core.cluster.build_osiris_cluster`).
+  :func:`repro.runtime.deploy.build_osiris_cluster`).
 * :mod:`repro.baselines` — ZFT and RCP comparison systems.
 * :mod:`repro.apps` — Anomaly Detection, Motion Planning, Video Analysis.
 * :mod:`repro.bench` — scenario harness regenerating every paper figure.

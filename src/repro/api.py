@@ -473,11 +473,7 @@ def _run_to_completion(sim, metrics, workload: BenchWorkload, deadline: float):
     step = 1.0
     while sim.now < deadline:
         sim.run(until=min(sim.now + step, deadline))
-        if metrics.tasks_completed >= target and sim.drained():
-            return
-        if metrics.tasks_completed >= target:
-            return
-        if sim.drained():
+        if metrics.tasks_completed >= target or sim.drained():
             return
     if metrics.tasks_completed < target:
         raise BenchmarkError(
@@ -492,6 +488,8 @@ def _finish(
     sanitizer_violations=None, recovery=None,
 ):
     sharded = len(output_pids) > 1
+    # no modelled NIC (the live backend): the bandwidth was not measured
+    op_bw = None if net is None else 0.0
     if metrics.completion_times:
         makespan = max(metrics.completion_times)
         # tail-insensitive: heavy-tailed task costs must not let one
@@ -506,13 +504,10 @@ def _finish(
                 net.nic(pid).ingress_meter.mean_rate(0.0, active)
                 for pid in pids
             )
-        else:
-            op_bw = 0.0
     else:
         makespan = 0.0
         active = 0.0
         throughput = 0.0
-        op_bw = 0.0
     busy, n_exec = busy_fn()
     window = active if active > 0 else makespan
     util = (
@@ -633,8 +628,8 @@ def _run_live(spec: DeploymentSpec, time_scale: float = 0.25) -> ScenarioResult:
 
     Timing-derived numbers (throughput, latency, utilization) come from
     the forwarded event stream and the emulated CPU banks — comparable
-    in shape, not in value, to DES results.  ``op_bandwidth`` is zero:
-    there is no modelled NIC on real queues.
+    in shape, not in value, to DES results.  ``op_bandwidth`` is
+    ``None``: there is no modelled NIC on real queues to measure.
     """
     if spec.shards > 1:
         raise BenchmarkError(

@@ -55,11 +55,16 @@ def format_result_row(res: ScenarioResult) -> str:
     Legacy (closed-loop) results render exactly as before; results
     carrying SLO measurements grow a latency-percentile/goodput segment.
     """
+    # unmeasured (no modelled NIC) prints n/a, never a fake 0.00
+    opbw = (
+        f"{'n/a':>11}" if res.op_bandwidth is None
+        else f"{res.op_bandwidth / 1e9:>6.2f} GB/s"
+    )
     row = (
         f"{res.system:<10} n={res.n:<3} f={res.f} "
         f"thr={res.throughput:>12.0f} rec/s  "
         f"lat={res.mean_latency * 1e3:>8.1f} ms  "
-        f"opbw={res.op_bandwidth / 1e9:>6.2f} GB/s  "
+        f"opbw={opbw}  "
         f"cpu={res.executor_utilization * 100:>5.1f}%"
     )
     if res.goodput or res.per_tenant:

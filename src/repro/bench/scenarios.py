@@ -44,7 +44,9 @@ class ScenarioResult:
     makespan: float            # last completion time (sim seconds)
     mean_latency: float
     p99_latency: float
-    op_bandwidth: float        # bytes/sec into OP over the active window
+    #: bytes/sec into OP over the active window; ``None`` when no NIC
+    #: was modelled (live runs), so nothing was measured
+    op_bandwidth: Optional[float]
     executor_utilization: float
     peak_throughput: float
     extra: dict = field(default_factory=dict)

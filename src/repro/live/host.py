@@ -11,13 +11,17 @@ substrate primitives map onto real queues and real time —
   child's ``multiprocessing`` inbox queue (per-(src,dst) FIFO order is
   the queue's own FIFO guarantee, and ``sender``/``_neq`` are stamped
   by the transport exactly like the DES network stamps them);
-* ``SetTimer``/``Schedule`` become entries on a local timer heap keyed
+* ``SetTimer``/``Schedule`` become continuations on a local heap keyed
   by simulated time, served by the event loop's ``get(timeout=...)``;
 * ``Job``/``CtrlJob``/``ApplyUpdate`` are *emulated* on free-list CPU
   banks (the app bank has ``cores`` lanes, the control bank one), so
   completion times, milestone offsets and ``busy_seconds`` follow the
-  same cost model the DES charges — wall-clock execution of the
-  callback happens when the emulated completion time arrives.
+  same cost model the DES charges — the job and milestone continuations
+  join the same heap at their emulated times.
+
+The heap holds the base's own continuations (``_fire_timer``,
+``_fire_sched``, ``_job_thunk``, ``_fire_milestone``), so the crash
+guards are the base's and the loop restates none of them.
 
 Simulated time is ``(monotonic() - t0) / time_scale`` with ``t0``
 shared by all processes via :class:`~repro.live.wire.CtrlStart`; a
@@ -57,10 +61,8 @@ from repro.runtime.codec import decode_json, encode_json
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
     ApplyUpdate,
-    CancelTimer,
     CtrlJob,
     Emit,
-    Halt,
     Job,
     Multicast,
     NeqMulticast,
@@ -108,45 +110,28 @@ class LiveHost(EffectInterpreter):
         up: Any,
         wanted: frozenset[str],
     ) -> None:
-        self.core = core
         self.pid = core.pid
-        self.capture = False  # replay capture is DES-only (spec-validated)
         self._inboxes = inboxes
         self._inbox = inboxes[self.pid]
         self._up = up
-        self._wanted = wanted
-        self.cpu = _EmuCpu(cores)
         self.ctrl = _EmuCpu(1)
-        self.crashed = False
-        self.unhandled_messages = 0
         self._t0: Optional[float] = None
         self._scale = 1.0
-        self._heap: list[tuple[float, int, str, tuple]] = []
+        # (sim time, seq, continuation, args): seq breaks time ties in
+        # push order and keeps the continuations out of comparisons
+        self._heap: list[tuple[float, int, Any, tuple]] = []
         self._seq = 0
-        self._timers: dict[str, int] = {}  # armed name -> heap entry seq
         self._stop = False
-        core.bind(self)
+        # replay capture is DES-only (spec-validated): capture stays off
+        super().__init__(core, _EmuCpu(cores), wanted.__contains__)
 
-    # --------------------------------------------------- runtime interface
     @property
     def now(self) -> float:
         if self._t0 is None:
             return 0.0
         return max(0.0, (time.monotonic() - self._t0) / self._scale)
 
-    def wants(self, category: str) -> bool:
-        return category in self._wanted
-
-    @property
-    def app_cpu(self):
-        return self.cpu
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self._timers
-
-    perform = EffectInterpreter.interpret
-
-    # ---------------------------------------------------------- primitives
+    # --------------------------------------------------------------- leaves
     def _post(self, dst: str, msg: Any, neq: bool) -> None:
         box = self._inboxes.get(dst)
         if box is None:
@@ -170,31 +155,34 @@ class LiveHost(EffectInterpreter):
         for dst in effect.dsts:
             self._post(dst, effect.msg, neq=True)
 
-    def _push(self, at: float, kind: str, payload: tuple) -> int:
+    def _push(self, at: float, fn, *args) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, payload))
-        return self._seq
+        heapq.heappush(self._heap, (at, self._seq, fn, args))
 
-    def _do_set_timer(self, effect: SetTimer) -> None:
-        seq = self._push(self.now + effect.delay, "timer", (effect,))
-        self._timers[effect.name] = seq  # re-arm supersedes (lazy delete)
+    def _arm_timer(self, effect: SetTimer) -> None:
+        # re-arm supersedes and cancel disarms lazily: a popped entry
+        # fires only while it is still the armed effect for its name
+        self.timers[effect.name] = effect
+        self._push(self.now + effect.delay, self._timer_due, effect)
 
-    def _do_cancel_timer(self, effect: CancelTimer) -> None:
-        self._timers.pop(effect.name, None)
+    def _timer_due(self, effect: SetTimer) -> None:
+        if self.timers.get(effect.name) is effect:
+            del self.timers[effect.name]
+            self._fire_timer(effect)
 
     def _do_schedule(self, effect: Schedule) -> None:
-        self._push(self.now + effect.delay, "sched", (effect,))
+        self._push(self.now + effect.delay, self._fire_sched, effect)
 
     def _do_job(self, effect: Job) -> None:
         start, done = self.cpu.submit(self.now, effect.cost)
-        self._push(done, "job", (effect,))
+        self._push(done, self._job_thunk(effect))
         for idx in range(len(effect.milestones)):
             offset = effect.milestones[idx][0]
-            self._push(start + offset, "milestone", (effect, idx))
+            self._push(start + offset, self._fire_milestone, effect, idx)
 
     def _do_ctrl_job(self, effect: CtrlJob) -> None:
         _, done = self.ctrl.submit(self.now, effect.cost)
-        self._push(done, "ctrljob", (effect,))
+        self._push(done, self._job_thunk(effect))
 
     def _do_apply_update(self, effect: ApplyUpdate) -> None:
         # occupies the app bank and accrues busy time; no continuation
@@ -205,14 +193,6 @@ class LiveHost(EffectInterpreter):
         # the DES bus guard; anything performed anyway is forwarded and
         # the parent bus applies its own category routing
         self._up.put(encode_json(ChildEvent(pid=self.pid, event=effect.event)))
-
-    def _do_halt(self, effect: Halt) -> None:
-        # fail-stop: state freezes, pending timers die (guarded jobs are
-        # blocked at fire time; unguarded jobs/milestones/schedules still
-        # fire, exactly like SimProcess.crash under the DES)
-        self.core.crashed = True
-        self.crashed = True
-        self._timers.clear()
 
     # ------------------------------------------------------------ the loop
     def run(self) -> None:
@@ -235,42 +215,15 @@ class LiveHost(EffectInterpreter):
                 self._handle(decode_json(raw))
 
     def _fire_due(self) -> None:
+        """Run every continuation whose sim time has come, in order; the
+        base's continuations apply the crash guards."""
         while self._heap and self._heap[0][0] <= self.now:
-            _, seq, kind, payload = heapq.heappop(self._heap)
-            if kind == "timer":
-                (effect,) = payload
-                if self._timers.get(effect.name) != seq:
-                    continue  # cancelled or superseded by a re-arm
-                del self._timers[effect.name]
-                if self.crashed:
-                    continue
-                self._fire_timer(effect)
-            elif kind == "sched":
-                (effect,) = payload
-                self._fire_sched(effect)
-            elif kind == "job":
-                (effect,) = payload
-                if effect.guarded and self.crashed:
-                    continue
-                self._job_thunk(effect)()
-            elif kind == "ctrljob":
-                (effect,) = payload
-                if self.crashed:
-                    continue  # control jobs are always guarded
-                self._job_thunk(effect)()
-            else:  # milestone
-                effect, idx = payload
-                self._fire_milestone(effect, idx)
+            _, _, fn, args = heapq.heappop(self._heap)
+            fn(*args)
 
     def _handle(self, item: Any) -> None:
         if isinstance(item, NetEnvelope):
-            if self.crashed:
-                return
-            msg = decode_json(item.payload)
-            msg.sender = item.src  # transport stamp, as Network.send does
-            if item.neq:
-                msg._neq = True  # delivery stamp, as Network._deliver does
-            self._deliver_to_core(msg)
+            self.deliver(decode_json(item.payload), item.src, item.neq)
         elif isinstance(item, CtrlStart):
             self._t0 = item.t0
             self._scale = item.time_scale
@@ -322,7 +275,7 @@ class LiveHost(EffectInterpreter):
             busy_seconds=self.cpu.busy_seconds,
             tasks_executed=getattr(engine, "tasks_executed", 0),
             unhandled=self.unhandled_messages,
-            crashed=self.crashed,
+            crashed=self.core.crashed,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

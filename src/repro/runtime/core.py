@@ -14,10 +14,9 @@ the bound runtime; they are *the only* way a core touches the world.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.runtime.api import Runtime
 from repro.runtime.effects import (
     ApplyUpdate,
     CancelTimer,
@@ -31,6 +30,9 @@ from repro.runtime.effects import (
     Send,
     SetTimer,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.interpreter import EffectInterpreter
 
 __all__ = ["ProtocolCore"]
 
@@ -49,7 +51,7 @@ class ProtocolCore:
         self.pid = pid
         self.crashed = False
         self.unhandled_messages = 0
-        self._rt: Optional[Runtime] = None
+        self._rt: Optional[EffectInterpreter] = None
         self._job_seq = 0
         self._sched_seq = 0
         handlers: dict[str, Callable] = {}
@@ -59,7 +61,7 @@ class ProtocolCore:
         self._handlers = handlers
 
     # ------------------------------------------------------------- binding
-    def bind(self, rt: Runtime) -> None:
+    def bind(self, rt: EffectInterpreter) -> None:
         """Attach the backend; fires the :meth:`on_bind` hook (where
         cores arm their initial timers — never in ``__init__``)."""
         if self._rt is not None:
@@ -71,7 +73,7 @@ class ProtocolCore:
         """Called once, immediately after the runtime is attached."""
 
     @property
-    def rt(self) -> Runtime:
+    def rt(self) -> EffectInterpreter:
         if self._rt is None:
             raise SimulationError(f"core {self.pid} is not bound to a runtime")
         return self._rt

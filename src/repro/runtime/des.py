@@ -1,12 +1,15 @@
 """Discrete-event backend: hosts one :class:`ProtocolCore` on the DES.
 
 A :class:`DesHost` is the glue between a pure core and the simulated
-substrate.  Effect dispatch, capture and continuation plumbing live in
-the shared :class:`~repro.runtime.interpreter.EffectInterpreter`; this
-module supplies the DES primitives with exactly the calls the
-pre-refactor inline role code made — same ``Network.send`` order, same
-``CpuBank.submit`` / ``Simulator.schedule_at`` sequence, same guard
-closures — so same-seed traces are bit-identical across the refactor.
+substrate.  Effect dispatch, capture, continuations and the crash-guard
+rule live in the shared
+:class:`~repro.runtime.interpreter.EffectInterpreter`; this module
+supplies the DES leaves with exactly the calls the pre-refactor inline
+role code made — same ``Network.send`` order, same ``CpuBank.submit`` /
+``Simulator.schedule_at`` sequence — so same-seed traces are
+bit-identical across the refactor.  Timers go through
+``SimProcess.set_timer``, which also refuses to arm one once the host
+crashed.
 
 With :attr:`capture` enabled the host additionally publishes
 :class:`~repro.obs.events.ReplayInput` / ``ReplayEffect`` events on the
@@ -59,7 +62,9 @@ class DesHost(SimProcess, EffectInterpreter):
         cores: int = 7,
         capture: bool = False,
     ) -> None:
-        super().__init__(sim, core.pid, cores=cores)
+        # the simulated CPU banks, timer table and crash flag come from
+        # SimProcess; the base's in-memory state is never set up here
+        SimProcess.__init__(self, sim, core.pid, cores=cores)
         self.net = net
         self.core = core
         # pre-bound network entry points: the Send/Multicast/NeqMulticast
@@ -83,13 +88,8 @@ class DesHost(SimProcess, EffectInterpreter):
     def wants(self, category: str) -> bool:
         return self.sim.bus.wants(category)
 
-    @property
-    def app_cpu(self):
-        return self.cpu
-
-    # SimProcess already provides timer_armed()
-
-    perform = EffectInterpreter.interpret
+    # timer_armed() comes from SimProcess, app_cpu (self.cpu) from the base
+    perform = EffectInterpreter.perform
 
     # -------------------------------------------------------- capture hooks
     def _capture_effect(self, effect) -> None:
@@ -108,7 +108,7 @@ class DesHost(SimProcess, EffectInterpreter):
             )
         )
 
-    # ------------------------------------------------------- DES primitives
+    # ------------------------------------------------------------ DES leaves
     def _do_send(self, effect: Send) -> None:
         self._net_send(self.pid, effect.dst, effect.msg)
 
@@ -128,10 +128,7 @@ class DesHost(SimProcess, EffectInterpreter):
         self.sim.schedule(effect.delay, self._fire_sched, effect)
 
     def _do_job(self, effect: Job) -> None:
-        run = self._job_thunk(effect)
-        handle = self.cpu.submit(
-            effect.cost, self._guard(run) if effect.guarded else run
-        )
+        handle = self.cpu.submit(effect.cost, self._job_thunk(effect))
         start = handle.time - effect.cost
         for idx in range(len(effect.milestones)):
             offset = effect.milestones[idx][0]
@@ -143,10 +140,10 @@ class DesHost(SimProcess, EffectInterpreter):
             )
 
     def _do_ctrl_job(self, effect: CtrlJob) -> None:
-        self.ctrl.submit(effect.cost, self._guard(self._job_thunk(effect)))
+        self.ctrl.submit(effect.cost, self._job_thunk(effect))
 
     def _do_apply_update(self, effect: ApplyUpdate) -> None:
-        self.cpu.submit(effect.cost, self._guard(_noop))
+        self.cpu.submit(effect.cost, _noop)
 
     def _do_emit(self, effect: Emit) -> None:
         self.sim.bus.emit(effect.event)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import ReplayError
-from repro.runtime.api import Runtime, StubCpu
 from repro.runtime.codec import decode_json, encode_json
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
@@ -39,6 +38,7 @@ from repro.runtime.effects import (
     Send,
     SetTimer,
 )
+from repro.runtime.interpreter import EffectInterpreter, StubCpu
 
 __all__ = [
     "effect_signature",
@@ -146,14 +146,13 @@ class ReplayLog:
         return log
 
 
-class _ReplayCpu(StubCpu):
-    """Mirrors ``CpuBank.busy_seconds`` accounting: the live bank charges
-    the full cost at submit time, so accumulating app-bank job costs as
-    they are performed reproduces every value the core can read."""
+class ReplayRuntime(EffectInterpreter):
+    """Backend that re-feeds a captured inbox to a fresh core.
 
-
-class ReplayRuntime(Runtime):
-    """Backend that re-feeds a captured inbox to a fresh core."""
+    Pending continuations are held by identifier, so each recorded input
+    re-invokes the fresh core's own continuation through the base's
+    crash-guarded ``_fire_*`` / ``_job_thunk`` entry points.
+    """
 
     def __init__(
         self,
@@ -161,92 +160,53 @@ class ReplayRuntime(Runtime):
         cores: int = 7,
         wants: Optional[Callable[[str], bool]] = None,
     ) -> None:
-        self.core = core
-        self._now = 0.0
-        self._wants = wants or (lambda category: True)
-        self._cpu = _ReplayCpu(cores)
-        self._timers: dict[str, SetTimer] = {}
         self._jobs: dict[int, Any] = {}
-        self._milestones: dict[tuple[int, int], tuple] = {}
+        self._milestones: dict[tuple[int, int], Job] = {}
         self._scheds: dict[int, Schedule] = {}
         self.effects: list[str] = []
-        core.bind(self)
-
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def wants(self, category: str) -> bool:
-        return self._wants(category)
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self._timers
-
-    @property
-    def app_cpu(self):
-        return self._cpu
+        super().__init__(core, StubCpu(cores), wants)
 
     def perform(self, effect) -> None:
         self.effects.append(effect_signature(effect))
-        t = type(effect)
-        if t is SetTimer:
-            self._timers[effect.name] = effect
-        elif t is CancelTimer:
-            self._timers.pop(effect.name, None)
-        elif t is Schedule:
+        EffectInterpreter.perform(self, effect)
+
+    def _queue_local(self, effect) -> None:
+        if type(effect) is Schedule:
             self._scheds[effect.sched_id] = effect
-        elif t is Job:
-            self._cpu.busy_seconds += effect.cost
-            self._jobs[effect.job_id] = effect
-            for idx, milestone in enumerate(effect.milestones):
-                self._milestones[(effect.job_id, idx)] = milestone
-        elif t is CtrlJob:
-            self._jobs[effect.job_id] = effect
-        elif t is ApplyUpdate:
-            self._cpu.busy_seconds += effect.cost
-        # Send/Multicast/NeqMulticast/Emit/Halt have no replay-side state
+            return
+        self._jobs[effect.job_id] = effect
+        if type(effect) is Job:
+            for idx in range(len(effect.milestones)):
+                self._milestones[(effect.job_id, idx)] = effect
 
     # ----------------------------------------------------------- log feed
     def feed(self, time: float, input_kind: str, ref: str) -> None:
         """Consume one recorded input, advancing the replay clock."""
-        self._now = time
+        self.clock = time
         if input_kind == "msg":
-            self.core.handle(decode_message(ref))
-            return
-        if input_kind == "timer":
-            eff = self._timers.pop(ref, None)
-            if eff is None:
-                raise ReplayError(f"timer {ref!r} not armed at replay time")
-            if not self.core.crashed:
-                eff.fn(*eff.args)
-            return
-        if input_kind == "sched":
-            eff = self._scheds.pop(int(ref), None)
-            if eff is None:
-                raise ReplayError(f"sched {ref!r} not pending at replay time")
-            eff.fn(*eff.args)
-            return
-        if input_kind == "job":
-            eff = self._jobs.pop(int(ref), None)
-            if eff is None:
-                raise ReplayError(f"job {ref!r} not pending at replay time")
-            if isinstance(eff, CtrlJob) or eff.guarded:
-                if self.core.crashed:
-                    return
-            eff.fn(*eff.args)
-            return
-        if input_kind == "milestone":
+            self._deliver_to_core(decode_message(ref))
+        elif input_kind == "timer":
+            self._fire_timer(_take(self.timers, ref, input_kind, ref))
+        elif input_kind == "sched":
+            self._fire_sched(_take(self._scheds, int(ref), input_kind, ref))
+        elif input_kind == "job":
+            self._job_thunk(_take(self._jobs, int(ref), input_kind, ref))()
+        elif input_kind == "milestone":
             job_id, _, idx = ref.partition(":")
-            milestone = self._milestones.pop((int(job_id), int(idx)), None)
-            if milestone is None:
-                raise ReplayError(
-                    f"milestone {ref!r} not pending at replay time"
-                )
-            _, fn, args = milestone
-            fn(*args)
-            return
-        raise ReplayError(f"unknown input kind {input_kind!r}")
+            key = (int(job_id), int(idx))
+            self._fire_milestone(
+                _take(self._milestones, key, input_kind, ref), key[1]
+            )
+        else:
+            raise ReplayError(f"unknown input kind {input_kind!r}")
+
+
+def _take(pending: dict, key, kind: str, ref: str):
+    """Pop the continuation a recorded input names, or fail loudly."""
+    effect = pending.pop(key, None)
+    if effect is None:
+        raise ReplayError(f"{kind} {ref!r} not pending at replay time")
+    return effect
 
 
 def replay(

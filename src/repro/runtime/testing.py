@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.runtime.api import Runtime, StubCpu
 from repro.runtime.core import ProtocolCore
 from repro.runtime.effects import (
-    ApplyUpdate,
-    CancelTimer,
     CtrlJob,
     Effect,
     Emit,
-    Halt,
     Job,
     Multicast,
     NeqMulticast,
@@ -29,6 +25,7 @@ from repro.runtime.effects import (
     Send,
     SetTimer,
 )
+from repro.runtime.interpreter import EffectInterpreter, StubCpu
 
 __all__ = ["TestRuntime", "McRuntime", "describe_effect", "sent_messages"]
 
@@ -62,8 +59,13 @@ def describe_effect(effect: Effect) -> str:
     return t.__name__
 
 
-class TestRuntime(Runtime):
-    """Inert effect recorder with manual continuation control."""
+class TestRuntime(EffectInterpreter):
+    """Inert effect recorder with manual continuation control.
+
+    Every performed effect is logged in :attr:`effects`; queued jobs,
+    ctrl-jobs and scheds wait in :attr:`pending` until :meth:`drain`
+    (or :meth:`run_local`) runs them under the base's crash guards.
+    """
 
     def __init__(
         self,
@@ -71,67 +73,36 @@ class TestRuntime(Runtime):
         cores: int = 7,
         wanted: Optional[Callable[[str], bool]] = None,
     ) -> None:
-        self.core = core
-        self.clock = 0.0
-        self._wanted = wanted or (lambda category: True)
-        self._cpu = StubCpu(cores)
         self.effects: list[Effect] = []
-        self.timers: dict[str, SetTimer] = {}
         self.pending: list[Effect] = []  # jobs/ctrl-jobs/scheds, FIFO
-        core.bind(self)
-
-    # --------------------------------------------------- runtime interface
-    @property
-    def now(self) -> float:
-        return self.clock
-
-    def wants(self, category: str) -> bool:
-        return self._wanted(category)
-
-    def timer_armed(self, name: str) -> bool:
-        return name in self.timers
-
-    @property
-    def app_cpu(self):
-        return self._cpu
+        super().__init__(core, StubCpu(cores), wanted)
 
     def perform(self, effect) -> None:
         self.effects.append(effect)
-        t = type(effect)
-        if t is SetTimer:
-            self.timers[effect.name] = effect
-        elif t is CancelTimer:
-            self.timers.pop(effect.name, None)
-        elif t in (Job, CtrlJob, Schedule):
-            if t is Job:
-                self._cpu.busy_seconds += effect.cost
-            self.pending.append(effect)
-        elif t is ApplyUpdate:
-            self._cpu.busy_seconds += effect.cost
-        elif t is Halt:
-            self.timers.clear()
+        EffectInterpreter.perform(self, effect)
+
+    def _queue_local(self, effect) -> None:
+        self.pending.append(effect)
 
     # ------------------------------------------------------- test controls
-    def deliver(self, msg: Any, sender: Optional[str] = None) -> None:
-        """Hand a message to the core, stamping ``sender`` like the
-        authenticated transport would."""
-        if sender is not None:
-            msg.sender = sender
-        self.core.handle(msg)
-
     def fire_timer(self, name: str) -> None:
-        """Fire an armed timer immediately (crash-guarded, like the DES)."""
-        effect = self.timers.pop(name)
-        if not self.core.crashed:
-            effect.fn(*effect.args)
+        """Fire an armed timer immediately."""
+        self._fire_timer(self.timers.pop(name))
+
+    def run_local(self, effect) -> None:
+        """Run one queued job/ctrl-job/sched: a job's milestones first
+        (costs are ignored — there is no clock to advance), then its
+        completion."""
+        if type(effect) is Schedule:
+            self._fire_sched(effect)
+            return
+        if type(effect) is Job:
+            for idx in range(len(effect.milestones)):
+                self._fire_milestone(effect, idx)
+        self._job_thunk(effect)()
 
     def drain(self, max_rounds: int = 1000) -> None:
-        """Run queued jobs/scheds (and any they enqueue) to quiescence.
-
-        Costs are ignored — the test backend has no clock to advance —
-        but crash-guarding matches the DES: guarded work is skipped once
-        the core crashed, while unguarded work still runs.
-        """
+        """Run queued jobs/scheds (and any they enqueue) to quiescence."""
         rounds = 0
         while self.pending:
             rounds += 1
@@ -147,19 +118,7 @@ class TestRuntime(Runtime):
                     f"{len(self.pending)} undelivered effect(s): "
                     f"[{undelivered}]"
                 )
-            effect = self.pending.pop(0)
-            if type(effect) is Job:
-                for _, fn, args in effect.milestones:
-                    fn(*args)
-                if effect.guarded and self.core.crashed:
-                    continue
-                effect.fn(*effect.args)
-            elif type(effect) is CtrlJob:
-                if self.core.crashed:
-                    continue
-                effect.fn(*effect.args)
-            else:  # Schedule — never guarded
-                effect.fn(*effect.args)
+            self.run_local(self.pending.pop(0))
 
     # ------------------------------------------------------------ querying
     def of(self, effect_type: type) -> list[Effect]:
@@ -178,100 +137,49 @@ class TestRuntime(Runtime):
         ]
 
 
-class McRuntime(Runtime):
-    """Model-checking sibling of :class:`TestRuntime`.
+def _never(category: str) -> bool:
+    return False
 
-    Where ``TestRuntime`` keeps a private FIFO of pending effects for a
-    single core, an ``McRuntime`` routes every send and every queued
-    job/sched of its core into an explorer-owned *world* (duck-typed:
-    ``enqueue_send(src, dst, msg, neq)`` and ``enqueue_local(src,
-    effect)``) — the world treats that shared pending frontier as a
-    choice point and decides which action happens next.  Execution
-    semantics (milestones first, crash-guarding, timer crash-guard)
-    match ``TestRuntime.drain`` and the DES exactly; only the *order*
-    is external.
 
-    ``wants`` is always False: trace events never feed back into core
-    state, and dropping them keeps snapshots small and states
-    comparable across schedules.
+class McRuntime(TestRuntime):
+    """A :class:`TestRuntime` whose sends and local work go to a world.
+
+    Every send and every queued job/sched of the core is routed into an
+    explorer-owned *world* (duck-typed: ``clock``, ``enqueue_send(src,
+    dst, msg, neq)`` and ``enqueue_local(src, effect)``) — the world
+    treats that shared pending frontier as a choice point and decides
+    which action happens next, then calls back :meth:`deliver`,
+    :meth:`run_local` or :meth:`fire_timer`.  Execution semantics are the
+    base's; only the *order* is external.
+
+    No effect log is kept and ``wants`` is always False: trace events
+    never feed back into core state, and dropping both keeps snapshots
+    small and states comparable across schedules.
     """
 
     def __init__(self, core: ProtocolCore, world, cores: int = 7) -> None:
-        self.core = core
         self.world = world
-        self._cpu = StubCpu(cores)
-        self.timers: dict[str, SetTimer] = {}
-        core.bind(self)
+        super().__init__(core, cores, wanted=_never)
 
-    # --------------------------------------------------- runtime interface
     @property
     def now(self) -> float:
         return self.world.clock
 
-    def wants(self, category: str) -> bool:
-        return False
+    perform = EffectInterpreter.perform
 
-    def timer_armed(self, name: str) -> bool:
-        return name in self.timers
+    def _do_send(self, effect: Send) -> None:
+        self.world.enqueue_send(self.core.pid, effect.dst, effect.msg, False)
 
-    @property
-    def app_cpu(self):
-        return self._cpu
+    def _do_multicast(self, effect: Multicast) -> None:
+        for dst in effect.dsts:
+            self.world.enqueue_send(self.core.pid, dst, effect.msg, False)
 
-    def perform(self, effect) -> None:
-        t = type(effect)
-        pid = self.core.pid
-        if t is Send:
-            self.world.enqueue_send(pid, effect.dst, effect.msg, False)
-        elif t is Multicast:
-            for dst in effect.dsts:
-                self.world.enqueue_send(pid, dst, effect.msg, False)
-        elif t is NeqMulticast:
-            for dst in effect.dsts:
-                self.world.enqueue_send(pid, dst, effect.msg, True)
-        elif t is SetTimer:
-            self.timers[effect.name] = effect
-        elif t is CancelTimer:
-            self.timers.pop(effect.name, None)
-        elif t in (Job, CtrlJob, Schedule):
-            if t is Job:
-                self._cpu.busy_seconds += effect.cost
-            self.world.enqueue_local(pid, effect)
-        elif t is ApplyUpdate:
-            self._cpu.busy_seconds += effect.cost
-        elif t is Halt:
-            self.timers.clear()
-        # Emit is dropped: wants() is False and events have no feedback
+    def _do_neq_multicast(self, effect: NeqMulticast) -> None:
+        for dst in effect.dsts:
+            self.world.enqueue_send(self.core.pid, dst, effect.msg, True)
 
-    # ------------------------------------------------- execution (by world)
-    def deliver(self, msg: Any, sender: str, neq: bool = False) -> None:
-        """Deliver one message, stamping sender/neq like the transport."""
-        msg.sender = sender
-        if neq:
-            msg._neq = True
-        elif getattr(msg, "_neq", False):
-            msg._neq = False
-        self.core.handle(msg)
-
-    def run_local(self, effect) -> None:
-        """Run one queued job/ctrl-job/sched, TestRuntime.drain-style."""
-        if type(effect) is Job:
-            for _, fn, args in effect.milestones:
-                fn(*args)
-            if effect.guarded and self.core.crashed:
-                return
-            effect.fn(*effect.args)
-        elif type(effect) is CtrlJob:
-            if self.core.crashed:
-                return
-            effect.fn(*effect.args)
-        else:  # Schedule — never guarded
-            effect.fn(*effect.args)
-
-    def fire_timer(self, name: str) -> None:
-        effect = self.timers.pop(name)
-        if not self.core.crashed:
-            effect.fn(*effect.args)
+    def _queue_local(self, effect) -> None:
+        self.world.enqueue_local(self.core.pid, effect)
 
 
 def sent_messages(rt: TestRuntime, msg_type: Optional[type] = None) -> list:

@@ -185,6 +185,13 @@ class ServeBenchReport:
             and backpressure_ok
         )
 
+    @property
+    def des_task_goodput(self) -> float:
+        """DES completed tasks per sim second up to the last completion —
+        the same measure as the clients' ``task_goodput``."""
+        des = self.des_result
+        return des.tasks_completed / des.makespan if des.makespan > 0 else 0.0
+
     def summary(self) -> str:
         lines = [self.crossval.summary()]
         slo = self.serve_result.client_slo
@@ -199,7 +206,7 @@ class ServeBenchReport:
             f"DES SLO (same offered load): "
             f"p50={self.des_result.p50_latency:.3f}s "
             f"p99={self.des_result.p99_latency:.3f}s "
-            f"goodput={self.des_result.goodput:.1f} rec/s"
+            f"goodput={self.des_task_goodput:.1f} tasks/s"
         )
         ov = self.overload_slo
         lines.append(

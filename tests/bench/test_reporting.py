@@ -56,3 +56,16 @@ class TestScenarioRow:
         assert "n=8" in row and "f=1" in row
         assert "1234" in row
         assert "GB/s" in row
+
+    def test_unmeasured_bandwidth_is_absent_not_zero(self):
+        """A live result has no modelled NIC: its OP bandwidth is None,
+        survives a JSON round-trip as None, and prints as n/a."""
+        import json
+
+        res = make_result(op_bandwidth=None)
+        back = ScenarioResult.from_dict(json.loads(json.dumps(res.to_dict())))
+        assert back.op_bandwidth is None
+        row = back.row()
+        assert "opbw=        n/a" in row
+        assert "0.00 GB/s" not in row
+        assert make_result().row().count("1.50 GB/s") == 1

@@ -58,6 +58,8 @@ class TestLiveRun:
         assert result.extra["backend"] == "live"
         assert result.tasks_completed == 12
         assert (result.sanitizer_violations or 0) == 0
+        # no modelled NIC on real queues: unmeasured, not 0.0
+        assert result.op_bandwidth is None
         live = result.extra["live_report"]
         assert live.wall_seconds > 0
         assert live.sim_seconds > 0
